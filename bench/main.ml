@@ -481,8 +481,10 @@ let median3 a b c =
 let bench_obs ~quick ~out () =
   (* The overhead gates need stable timings even in --quick CI runs, so
      they always use the full round count and a median of three
-     interleaved measurements; --quick only shortens the churn run. *)
-  let rounds = 40 in
+     interleaved measurements; --quick only shortens the churn run.
+     A 10k-pulse round costs about 0.3 ms with the skip-ahead link
+     kernel, so 400 rounds keep each timed window near 100 ms. *)
+  let rounds = 400 in
   Format.printf "instrumentation overhead (%d rounds x2, median of 3)...@."
     rounds;
   let obs_ratio =

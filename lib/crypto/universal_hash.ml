@@ -43,43 +43,76 @@ type wc_tag = Bitstring.t
 let tag_bits = 64
 let key_bits_per_tag = 64 + tag_bits
 
-let field64 = lazy (Gf2.Field.create 64)
+(* Wegman–Carter arithmetic lives in GF(2^64) with the modulus of
+   [Gf2.known_moduli], x^64 + x^4 + x^3 + x + 1, one int64 per element
+   (bit i = coefficient of x^i).  Shifting past x^63 folds back through
+   x^64 = x^4 + x^3 + x + 1: [fold.(b)] is the byte [b] times that
+   low part, at most 12 bits wide. *)
+let fold = Array.init 256 (fun b -> b lxor (b lsl 1) lxor (b lsl 3) lxor (b lsl 4))
 
-(* Polynomial-evaluation hash: message split into 64-bit chunks
-   m_1..m_l (last chunk length-padded), evaluated by Horner at the
+(* [k_table k] holds j·k for every byte j, eight bytes per entry, so a
+   product by the fixed point k takes eight table steps. *)
+let k_table k =
+  let t = Bytes.make (256 * 8) '\000' in
+  Bytes.set_int64_le t 8 k;
+  for j = 2 to 255 do
+    let e =
+      if j land 1 = 1 then Int64.logxor (Bytes.get_int64_le t ((j - 1) * 8)) k
+      else begin
+        (* j·k = x·((j/2)·k) *)
+        let h = Bytes.get_int64_le t (j / 2 * 8) in
+        let s = Int64.shift_left h 1 in
+        if Int64.compare h 0L < 0 then Int64.logxor s 0x1BL else s
+      end
+    in
+    Bytes.set_int64_le t (j * 8) e
+  done;
+  t
+
+(* a·k mod the field modulus, Horner over the bytes of [a], top first. *)
+let[@inline] mul_k t a =
+  let acc = ref 0L in
+  for i = 7 downto 0 do
+    let b = Int64.to_int (Int64.shift_right_logical a (8 * i)) land 0xFF in
+    let top = Int64.to_int (Int64.shift_right_logical !acc 56) in
+    acc :=
+      Int64.logxor
+        (Int64.logxor (Int64.shift_left !acc 8) (Int64.of_int (Array.unsafe_get fold top)))
+        (Bytes.get_int64_le t (b * 8))
+  done;
+  !acc
+
+(* Polynomial-evaluation hash: message split into 64-bit little-endian
+   chunks m_1..m_l (last chunk zero-padded), evaluated by Horner at the
    secret point k, with a final multiply so the constant term is never
-   exposed directly:  h = ((m_1 k + m_2) k + ...) k. *)
+   exposed directly:  h = ((m_1 k + m_2) k + ...) k.  The byte length
+   is folded in as one more chunk, so messages differing only in
+   trailing zero padding hash differently. *)
 let poly_eval k msg =
-  let field = Lazy.force field64 in
+  let t = k_table k in
   let nbytes = Bytes.length msg in
-  let chunks = (nbytes + 7) / 8 in
-  let acc = ref Gf2.Poly.zero in
-  for i = 0 to chunks - 1 do
-    let chunk = Bytes.make 8 '\000' in
-    let len = min 8 (nbytes - (8 * i)) in
-    Bytes.blit msg (8 * i) chunk 0 len;
-    let c = Gf2.Poly.of_bitstring (Bitstring.of_bytes chunk 64) in
-    acc := Gf2.Field.mul field (Gf2.Field.add !acc c) k
+  let full = nbytes / 8 in
+  let acc = ref 0L in
+  for i = 0 to full - 1 do
+    acc := mul_k t (Int64.logxor !acc (Bytes.get_int64_le msg (8 * i)))
   done;
-  (* Fold in the length so messages differing only in trailing zero
-     padding hash differently. *)
-  let len_chunk = Bytes.make 8 '\000' in
-  let v = ref nbytes in
-  for j = 0 to 7 do
-    Bytes.set len_chunk j (Char.chr (!v land 0xFF));
-    v := !v lsr 8
-  done;
-  let c = Gf2.Poly.of_bitstring (Bitstring.of_bytes len_chunk 64) in
-  Gf2.Field.mul field (Gf2.Field.add !acc c) k
+  if nbytes > 8 * full then begin
+    let last = ref 0L in
+    for j = nbytes - 1 downto 8 * full do
+      last :=
+        Int64.logor (Int64.shift_left !last 8) (Int64.of_int (Char.code (Bytes.get msg j)))
+    done;
+    acc := mul_k t (Int64.logxor !acc !last)
+  end;
+  mul_k t (Int64.logxor !acc (Int64.of_int nbytes))
 
 let wc_tag ~key msg =
   if Bitstring.length key <> key_bits_per_tag then
     invalid_arg "Universal_hash.wc_tag: key must be key_bits_per_tag bits";
-  let field = Lazy.force field64 in
-  let k = Gf2.Field.element_of_bits field (Bitstring.sub key 0 64) in
-  let pad = Bitstring.sub key 64 tag_bits in
-  let h = poly_eval k msg in
-  let hbits = Bitstring.sub (Gf2.Field.bits_of_element field h) 0 tag_bits in
-  Bitstring.xor hbits pad
+  let kb = Bitstring.to_bytes key in
+  let tag = Bitstring.create tag_bits in
+  Bitstring.blit_int64 tag ~pos:0 ~bits:tag_bits
+    (Int64.logxor (poly_eval (Bytes.get_int64_le kb 0) msg) (Bytes.get_int64_le kb 8));
+  tag
 
 let wc_verify ~key ~tag msg = Bitstring.equal tag (wc_tag ~key msg)

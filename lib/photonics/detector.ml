@@ -114,6 +114,23 @@ let detect t rng ?(phase_offset = 0.0) ?(visibility_scale = 1.0) ~bob_basis
   | false, true -> Click true
   | true, true -> Double_click
 
+let quiescent t =
+  t.d0.dead = 0 && t.d1.dead = 0 && (not t.d0.clicked_last) && not t.d1.clicked_last
+
+let record t ~d0 ~d1 ~dark =
+  let arm apd clicked =
+    apd.clicked_last <- clicked;
+    if clicked then apd.dead <- t.config.dead_time_gates
+  in
+  arm t.d0 d0;
+  arm t.d1 d1;
+  t.dark_clicks <- t.dark_clicks + dark;
+  match (d0, d1) with
+  | false, false -> No_click
+  | true, false -> Click false
+  | false, true -> Click true
+  | true, true -> Double_click
+
 let pp_outcome ppf = function
   | No_click -> Format.pp_print_string ppf "-"
   | Click false -> Format.pp_print_string ppf "0"

@@ -11,7 +11,13 @@
 type config = {
   efficiency : float;  (** P(avalanche | photon), typ. 0.1 InGaAs *)
   dark_count_per_gate : float;  (** P(spurious click) per gate *)
-  afterpulse_probability : float;  (** P(click | clicked last gate) *)
+  afterpulse_probability : float;
+      (** P(click | this APD clicked on the previous gate).  A blanked
+          gate clears that memory, so with [dead_time_gates >= 1] the
+          gate after a click is always blanked and afterpulsing never
+          fires — including at [default], where dead time is 2.  Only
+          [dead_time_gates = 0] lets afterpulses (and chains of them)
+          through. *)
   dead_time_gates : int;  (** gates blanked after a click *)
   visibility : float;  (** interferometer fringe visibility *)
   d1_efficiency_factor : float;
@@ -64,6 +70,19 @@ val detect :
   bob_basis:Qubit.basis ->
   Pulse.t ->
   outcome
+
+(** [quiescent t] holds when neither APD is dead nor carries afterpulse
+    memory.  In that state every gate follows the same click law and a
+    gate that does not click leaves the state unchanged, which is what
+    lets the link kernel skip such gates without playing them. *)
+val quiescent : t -> bool
+
+(** [record t ~d0 ~d1 ~dark] books one gate played on a quiescent
+    receiver whose outcome the caller drew itself: [d0]/[d1] say which
+    APDs fired and [dark] how many of them fired with no photon
+    arriving.  Dead time, afterpulse memory and the dark-count tally
+    move exactly as {!detect} would move them. *)
+val record : t -> d0:bool -> d1:bool -> dark:int -> outcome
 
 val pp_outcome : Format.formatter -> outcome -> unit
 

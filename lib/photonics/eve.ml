@@ -82,17 +82,30 @@ let breidbart t ~slot (pulse : Pulse.t) =
     { pulse with Pulse.phase }
   end
 
-let tap t ~slot pulse =
+let intercept_fraction = function
+  | Passive | Beamsplit -> 0.0
+  | Intercept_resend f | Intercept_breidbart f | Intercept_and_beamsplit f -> f
+
+let splits = function
+  | Beamsplit | Intercept_and_beamsplit _ -> true
+  | Passive | Intercept_resend _ | Intercept_breidbart _ -> false
+
+let apply t ~slot ~intercept:coin pulse =
   match t.strategy with
   | Passive -> pulse
   | Beamsplit -> beamsplit t ~slot pulse
-  | Intercept_breidbart f ->
-      if Qkd_util.Rng.bernoulli t.rng f then breidbart t ~slot pulse else pulse
-  | Intercept_resend f ->
-      if Qkd_util.Rng.bernoulli t.rng f then intercept t ~slot pulse else pulse
-  | Intercept_and_beamsplit f ->
+  | Intercept_breidbart _ -> if coin then breidbart t ~slot pulse else pulse
+  | Intercept_resend _ -> if coin then intercept t ~slot pulse else pulse
+  | Intercept_and_beamsplit _ ->
       let pulse = beamsplit t ~slot pulse in
-      if Qkd_util.Rng.bernoulli t.rng f then intercept t ~slot pulse else pulse
+      if coin then intercept t ~slot pulse else pulse
+
+(* Eve draws her coin on every pulse, whatever it carries;
+   beam-splitting draws nothing. *)
+let tap t ~slot pulse =
+  apply t ~slot
+    ~intercept:(Qkd_util.Rng.bernoulli t.rng (intercept_fraction t.strategy))
+    pulse
 
 let absorb t src =
   if t.strategy <> src.strategy then invalid_arg "Eve.absorb: strategy mismatch";

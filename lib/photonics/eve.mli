@@ -37,6 +37,21 @@ val strategy : t -> strategy
     returns what continues toward Bob. *)
 val tap : t -> slot:int -> Pulse.t -> Pulse.t
 
+(** [intercept_fraction s] is the per-pulse probability that Eve
+    measures and re-emits (0 for [Passive] and [Beamsplit]).  Her coin
+    is independent of the pulse's photon number. *)
+val intercept_fraction : strategy -> float
+
+(** [splits s] holds when Eve siphons one photon off every multi-photon
+    pulse. *)
+val splits : strategy -> bool
+
+(** [apply t ~slot ~intercept pulse] is [tap] with the per-pulse coin
+    already decided: [intercept] says whether Eve measures this pulse
+    (ignored by strategies that never do).  The link kernel decides the
+    coin itself when it draws which slots Eve touches. *)
+val apply : t -> slot:int -> intercept:bool -> Pulse.t -> Pulse.t
+
 (** [absorb t src] folds the knowledge and counters gathered by [src]
     into [t].  The batched link kernel gives each transmission frame
     its own Eve instance (so frames can run on any domain) and merges

@@ -238,7 +238,7 @@ let run_reference ~seed (config : config) ~pulses =
     ~dark_clicks:(Detector.dark_clicks receiver)
     ~eve
 
-(* -- Batched, domain-parallel fast path.
+(* -- Batched: the skip-ahead kernel.
 
    Determinism contract: every transmission frame draws from its own
    splitmix stream, [Rng.derive seed frame_index], so a frame's output
@@ -254,10 +254,157 @@ let run_reference ~seed (config : config) ~pulses =
    snapshot applies, so the stabilization walk advances frame-by-frame
    (a Gaussian walk over dt is distributionally the same as its
    per-pulse refinement) and holds within a frame (4 ms at the DARPA
-   operating point, where the walk moves ~0.02 rad). *)
+   operating point, where the walk moves ~0.02 rad).
+
+   Within a frame the kernel simulates clicks, not pulses.  While the
+   receiver is quiescent ([Detector.quiescent]) every slot follows one
+   law that depends only on the slot's class — Alice's basis and value
+   and Bob's basis, all bulk-filled up front — and most slots are
+   trivial: no APD fires, Eve does nothing, and (entangled source)
+   Alice's own detector stays dark.  A trivial slot changes no state,
+   so the kernel jumps over runs of them with geometric gaps and
+   resolves each candidate slot from its exact law conditioned on
+   being non-trivial.  After a click the receiver is not quiescent and
+   the full per-pulse model plays each slot until it is again, which
+   is exactly the [dead_time_gates] slots after the click when dead
+   time blanks afterpulse memory.
+
+   The candidate law rests on two facts.  Poisson photon numbers split
+   into independent per-photon fates (Alice's mark, lost, arriving at
+   D0 or D1, detected or not), so given n photons the slot is trivial
+   exactly when neither dark count fires and no photon is detected by
+   Bob or marked by Alice.  Eve's coin is independent of the photon
+   number, so the slots she measures (coin and n >= 1) and the
+   multi-photon pulses she splits are candidates in their own right;
+   such slots play the full per-pulse model from their photon number. *)
 
 let stab_stream = -1L
 let eve_stream = -2L
+
+(* A categorical over [0 .. last] from unnormalised cumulative weights;
+   [last] is the last category of positive weight, so a draw rounding
+   past the total can never land on an impossible one. *)
+type categorical = { cum : float array; last : int }
+
+let categorical weights =
+  let cum = Array.make (Array.length weights) 0.0 in
+  let acc = ref 0.0 and last = ref 0 in
+  Array.iteri
+    (fun k w ->
+      acc := !acc +. w;
+      cum.(k) <- !acc;
+      if w > 0.0 then last := k)
+    weights;
+  { cum; last = !last }
+
+let draw rng c =
+  let u = Rng.float rng *. c.cum.(c.last) in
+  let k = ref 0 in
+  while !k < c.last && u >= c.cum.(!k) do
+    incr k
+  done;
+  !k
+
+(* Photon fates: [alice_mark * 5 + f], f = lost, D0 arrived undetected,
+   D0 detected, D1 arrived undetected, D1 detected. *)
+let quiet_fate k = k = 0 || k = 1 || k = 3
+
+(* The quiescent law of one slot class. *)
+type slot_law = {
+  q : float;  (** P(slot non-trivial) *)
+  photons : categorical;  (** n given non-trivial *)
+  attacked : float array;  (** P(Eve acts | n, non-trivial) *)
+  silent : float array;  (** P(no dark count, no marked photon | n) *)
+  dark : float;  (** dark count per APD per gate *)
+  marked : float;  (** P(one photon detected by Bob or marked by Alice) *)
+  fate : categorical;
+  fate_quiet : categorical;  (** given unmarked *)
+  fate_marked : categorical;  (** given marked *)
+}
+
+(* Poisson weights of n = 0 .. nmax, cut where the tail is below any
+   float the sequential-search sampler could resolve. *)
+let poisson_weights mu =
+  let rec go n p acc =
+    if float_of_int n > mu && p < 1e-17 then Array.of_list (List.rev acc)
+    else go (n + 1) (p *. mu /. float_of_int (n + 1)) (p :: acc)
+  in
+  go 0 (exp (-.mu)) []
+
+let slot_law (config : config) ~alive ~p_d1 =
+  let det = config.detector in
+  let eta_a =
+    if is_entangled config then det.Detector.efficiency else 0.0
+  in
+  (* A lost frame gates no APD: only Alice's side and Eve can act. *)
+  let t = if alive then Fiber.transmittance config.fiber else 0.0 in
+  let dark = if alive then det.Detector.dark_count_per_gate else 0.0 in
+  let eta0 = det.Detector.efficiency in
+  let eta1 = eta0 *. det.Detector.d1_efficiency_factor in
+  let fates =
+    [|
+      1.0 -. t;
+      t *. (1.0 -. p_d1) *. (1.0 -. eta0);
+      t *. (1.0 -. p_d1) *. eta0;
+      t *. p_d1 *. (1.0 -. eta1);
+      t *. p_d1 *. eta1;
+    |]
+  in
+  let w =
+    Array.init 10 (fun k -> (if k >= 5 then eta_a else 1.0 -. eta_a) *. fates.(k mod 5))
+  in
+  let only keep = Array.mapi (fun k x -> if keep k then x else 0.0) w in
+  (* Written so matched APDs give every class the same figure. *)
+  let unmarked =
+    let d1_loss = 1.0 -. det.Detector.d1_efficiency_factor in
+    (1.0 -. eta_a) *. (1.0 -. (t *. eta0 *. (1.0 -. (p_d1 *. d1_loss))))
+  in
+  let f = Eve.intercept_fraction config.eve and splits = Eve.splits config.eve in
+  let pi = poisson_weights config.source.Source.mean_photon_number in
+  let nmax = Array.length pi - 1 in
+  let silent =
+    Array.init (nmax + 1) (fun n -> ((1.0 -. dark) ** 2.0) *. (unmarked ** float_of_int n))
+  in
+  let attacked = Array.make (nmax + 1) 0.0 in
+  let weights =
+    Array.init (nmax + 1) (fun n ->
+        let a = if splits && n >= 2 then 1.0 else if n >= 1 then f else 0.0 in
+        let loud = a +. ((1.0 -. a) *. (1.0 -. silent.(n))) in
+        if loud > 0.0 then attacked.(n) <- a /. loud;
+        pi.(n) *. loud)
+  in
+  let photons = categorical weights in
+  {
+    q = photons.cum.(nmax);
+    photons;
+    attacked;
+    silent;
+    dark;
+    marked = 1.0 -. unmarked;
+    fate = categorical w;
+    fate_quiet = categorical (only quiet_fate);
+    fate_marked = categorical (only (fun k -> not (quiet_fate k)));
+  }
+
+(* Slot class = Alice's basis bit, value bit and Bob's basis bit. *)
+type frame_law = { classes : slot_law array; q_max : float }
+
+let frame_law (config : config) ~alive ~stab:(phase_offset, visibility_scale) =
+  let det = config.detector in
+  let visibility =
+    Float.max 0.0 (Float.min 1.0 (det.Detector.visibility *. visibility_scale))
+  in
+  let classes =
+    Array.init 8 (fun c ->
+        let basis b = if b then Qubit.Basis1 else Qubit.Basis0 in
+        let delta =
+          Qubit.alice_phase (basis (c land 1 = 1)) (c land 2 = 2)
+          -. Qubit.bob_phase (basis (c land 4 = 4))
+          +. phase_offset
+        in
+        slot_law config ~alive ~p_d1:(Qubit.detector_d1_probability ~visibility ~delta))
+  in
+  { classes; q_max = Array.fold_left (fun m l -> Float.max m l.q) 0.0 classes }
 
 type frame_out = {
   fo_lost : bool;
@@ -274,7 +421,8 @@ let no_detection =
 
 (* Simulate frame [frame] covering slots [first .. first+len-1].
    [receiver] is reused across a worker's frames and reset here. *)
-let simulate_frame (config : config) ~seed ~entangled ~receiver ~frame ~first ~len ~stab =
+let simulate_frame (config : config) ~seed ~entangled ~receiver ~law ~frame ~first
+    ~len ~stab:(phase_offset, visibility_scale) =
   Detector.reset receiver;
   let rng = Rng.derive seed (Int64.of_int frame) in
   let alive = Timing.frame_alive config.timing rng in
@@ -282,46 +430,160 @@ let simulate_frame (config : config) ~seed ~entangled ~receiver ~frame ~first ~l
   let bob_rng = Rng.split rng in
   let channel_rng = Rng.split rng in
   let eve_rng = Rng.split rng in
+  let skip_rng = Rng.split rng in
+  let law : frame_law = law ~alive in
   (* Bulk draws: one 64-bit word fills 64 basis or value bits. *)
   let bases = Rng.bits alice_rng len in
   let values = Rng.bits alice_rng len in
+  let bob_bases = if alive then Rng.bits bob_rng len else bases in
   let detected = Bitstring.create len in
+  if not entangled then Bitstring.fill detected true;
   let eve =
     match config.eve with
     | Eve.Passive -> None
     | strategy -> Some (Eve.create strategy eve_rng)
   in
-  let bob_bases = if alive then Rng.bits bob_rng len else bases in
-  let dets = Array.make (if alive then len else 0) no_detection in
+  let dets = ref (Array.make 16 no_detection) in
   let n_dets = ref 0 in
-  let phase_offset, visibility_scale = stab in
-  for i = 0 to len - 1 do
+  let push d =
+    if !n_dets = Array.length !dets then begin
+      let bigger = Array.make (2 * !n_dets) no_detection in
+      Array.blit !dets 0 bigger 0 !n_dets;
+      dets := bigger
+    end;
+    !dets.(!n_dets) <- d;
+    incr n_dets
+  in
+  let bob_basis i =
+    if Bitstring.get bob_bases i then Qubit.Basis1 else Qubit.Basis0
+  in
+  (* The full per-pulse model of slot [i] from its photon number;
+     [intercept] = [None] lets Eve draw her own coin. *)
+  let play i ~photons ~intercept =
     let basis = if Bitstring.get bases i then Qubit.Basis1 else Qubit.Basis0 in
     let value = Bitstring.get values i in
-    let pulse = Source.emit config.source alice_rng ~basis ~value in
-    (if entangled then begin
-       if alice_coincidence config alice_rng pulse then
-         Bitstring.set detected i true
-     end
-     else Bitstring.set detected i true);
+    let pulse = { Pulse.photons; phase = Qubit.alice_phase basis value; basis; value } in
+    if entangled && alice_coincidence config alice_rng pulse then
+      Bitstring.set detected i true;
     let pulse =
-      match eve with
-      | None -> pulse
-      | Some e -> Eve.tap e ~slot:(first + i) pulse
+      match (eve, intercept) with
+      | None, _ -> pulse
+      | Some e, None -> Eve.tap e ~slot:(first + i) pulse
+      | Some e, Some coin -> Eve.apply e ~slot:(first + i) ~intercept:coin pulse
     in
     if alive then begin
       let pulse = Fiber.transmit config.fiber channel_rng pulse in
-      let bob_basis =
-        if Bitstring.get bob_bases i then Qubit.Basis1 else Qubit.Basis0
-      in
+      let bob_basis = bob_basis i in
       match
-        Detector.detect receiver bob_rng ~phase_offset ~visibility_scale
-          ~bob_basis pulse
+        Detector.detect receiver bob_rng ~phase_offset ~visibility_scale ~bob_basis pulse
       with
       | Detector.No_click -> ()
-      | outcome ->
-          dets.(!n_dets) <- { slot = first + i; bob_basis; outcome };
-          incr n_dets
+      | outcome -> push { slot = first + i; bob_basis; outcome }
+    end
+  in
+  (* A slot Eve leaves alone, given n photons and that something
+     happens: the first of the independent marks [dark D0; dark D1;
+     photon 1 .. n] to fire is drawn from its conditional law; marks
+     before it stay silent, marks after it are unconstrained. *)
+  let resolve_unattacked i (l : slot_law) n =
+    let u = Rng.float skip_rng *. (1.0 -. l.silent.(n)) in
+    let first_mark = ref (-1) and last_possible = ref 0 in
+    let acc = ref 0.0 and survive = ref 1.0 and j = ref 0 in
+    while !first_mark < 0 && !j < n + 2 do
+      let m = if !j < 2 then l.dark else l.marked in
+      if m > 0.0 then last_possible := !j;
+      let pj = !survive *. m in
+      if u < !acc +. pj then first_mark := !j
+      else begin
+        acc := !acc +. pj;
+        survive := !survive *. (1.0 -. m);
+        incr j
+      end
+    done;
+    let first_mark = if !first_mark < 0 then !last_possible else !first_mark in
+    let fires j m =
+      if j < first_mark then false else j = first_mark || Rng.bernoulli skip_rng m
+    in
+    let dark0 = fires 0 l.dark in
+    let dark1 = fires 1 l.dark in
+    let det0 = ref false and det1 = ref false in
+    let arr0 = ref false and arr1 = ref false and alice = ref false in
+    for k = 1 to n do
+      let j = k + 1 in
+      let c =
+        draw skip_rng
+          (if j < first_mark then l.fate_quiet
+           else if j = first_mark then l.fate_marked
+           else l.fate)
+      in
+      if c >= 5 then alice := true;
+      match c mod 5 with
+      | 1 -> arr0 := true
+      | 2 ->
+          arr0 := true;
+          det0 := true
+      | 3 -> arr1 := true
+      | 4 ->
+          arr1 := true;
+          det1 := true
+      | _ -> ()
+    done;
+    if !alice then Bitstring.set detected i true;
+    let c0 = !det0 || dark0 and c1 = !det1 || dark1 in
+    if c0 || c1 then begin
+      (* [Detector.detect]'s attribution: a click with no photon at
+         that APD (or one that cannot see photons) is a dark count. *)
+      let det = config.detector in
+      let eta0 = det.Detector.efficiency in
+      let eta1 = eta0 *. det.Detector.d1_efficiency_factor in
+      let dark_at c arr eta = if c && ((not arr) || eta = 0.0) then 1 else 0 in
+      let dark = dark_at c0 !arr0 eta0 + dark_at c1 !arr1 eta1 in
+      let bob_basis = bob_basis i in
+      push
+        {
+          slot = first + i;
+          bob_basis;
+          outcome = Detector.record receiver ~d0:c0 ~d1:c1 ~dark;
+        }
+    end
+  in
+  let f = Eve.intercept_fraction config.eve and splits = Eve.splits config.eve in
+  let resolve i (l : slot_law) =
+    let n = draw skip_rng l.photons in
+    if Rng.bernoulli skip_rng l.attacked.(n) then
+      (* Split pulses carry an unconstrained coin; otherwise the coin
+         is what made the slot a candidate. *)
+      let coin = if splits && n >= 2 then Rng.bernoulli skip_rng f else true in
+      play i ~photons:n ~intercept:(Some coin)
+    else resolve_unattacked i l n
+  in
+  let mu = config.source.Source.mean_photon_number in
+  let q_max = law.q_max in
+  let log_quiet = Float.log1p (-.q_max) in
+  let pos = ref 0 in
+  while !pos < len do
+    if not (Detector.quiescent receiver) then begin
+      play !pos ~photons:(Rng.poisson alice_rng mu) ~intercept:None;
+      incr pos
+    end
+    else if q_max <= 0.0 then pos := len
+    else begin
+      (* Trivial slots before the next candidate: geometric, by
+         inversion (q_max = 1 makes [log_quiet] -inf and the gap 0). *)
+      let gap = Float.log1p (-.Rng.float skip_rng) /. log_quiet in
+      if gap >= float_of_int (len - !pos) then pos := len
+      else begin
+        let i = !pos + int_of_float gap in
+        let cls =
+          Bool.to_int (Bitstring.get bases i)
+          lor (Bool.to_int (Bitstring.get values i) lsl 1)
+          lor (Bool.to_int (Bitstring.get bob_bases i) lsl 2)
+        in
+        let l = law.classes.(cls) in
+        (* Classes less likely than the densest are thinned. *)
+        if Rng.bernoulli skip_rng (l.q /. q_max) then resolve i l;
+        pos := i + 1
+      end
     end
   done;
   {
@@ -329,7 +591,7 @@ let simulate_frame (config : config) ~seed ~entangled ~receiver ~frame ~first ~l
     fo_bases = bases;
     fo_values = values;
     fo_detected = detected;
-    fo_detections = Array.sub dets 0 !n_dets;
+    fo_detections = Array.sub !dets 0 !n_dets;
     fo_dark = Detector.dark_clicks receiver;
     fo_eve = eve;
   }
@@ -370,13 +632,26 @@ let run_batched ~seed ~domains (config : config) ~pulses =
     let lo = (d * base) + min d extra in
     let hi = lo + base + if d < extra then 1 else 0 in
     let receiver = Detector.create config.detector in
+    (* The law depends on the frame only through its liveness and
+       stabilization snapshot: without stabilization it is built once. *)
+    let cache = ref [] in
+    let law stab ~alive =
+      match List.assoc_opt (alive, stab) !cache with
+      | Some l -> l
+      | None ->
+          let l = frame_law config ~alive ~stab in
+          let others = List.filter (fun ((a, _), _) -> a <> alive) !cache in
+          cache := ((alive, stab), l) :: others;
+          l
+    in
     for frame = lo to hi - 1 do
       let first = frame * ppf in
       let len = min ppf (pulses - first) in
+      let stab = stab_of frame in
       out.(frame) <-
         Some
-          (simulate_frame config ~seed ~entangled ~receiver ~frame ~first ~len
-             ~stab:(stab_of frame))
+          (simulate_frame config ~seed ~entangled ~receiver ~law:(law stab) ~frame
+             ~first ~len ~stab)
     done
   in
   (if domains = 1 then worker 0

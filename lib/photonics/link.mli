@@ -47,19 +47,22 @@ val textbook_example : config
 (** Execution strategy for [run].
 
     - [Reference]: the original one-pulse-at-a-time loop over a single
-      split RNG lineage.  Kept as the semantic baseline; slow.
-    - [Batched { domains }]: the frame-batched fast path.  Each
-      transmission frame draws from its own stream,
-      [Rng.derive seed frame_index], frames are sharded across
-      [domains] OCaml domains (clamped to [\[1, frames\]]), and the
-      per-frame outputs are merged in frame order — so the result is
-      {b bit-identical for any domain count, including 1}.  Within a
-      frame the kernel bulk-fills basis/value bits 64 per RNG word and
-      preallocates the detection buffer.  Frame boundaries re-arm the
-      APDs ([Detector.reset]) and advance the stabilization walk at
-      frame granularity; both match the reference statistically, not
-      draw-for-draw, so the two modes agree in distribution but not
-      bit-for-bit. *)
+      split RNG lineage.  Kept as the semantic baseline and the
+      statistical oracle; slow.
+    - [Batched { domains }]: the skip-ahead kernel.  Each transmission
+      frame draws from its own stream, [Rng.derive seed frame_index],
+      frames are sharded across [domains] OCaml domains (clamped to
+      [\[1, frames\]]), and the per-frame outputs are merged in frame
+      order — so the result is {b bit-identical for any domain count,
+      including 1}.  Within a frame the kernel bulk-fills basis/value
+      bits 64 per RNG word, jumps between candidate slots (a possible
+      click, dark count, Eve action or entangled-source coincidence)
+      with geometric gaps, resolves each from its exact conditional
+      law, and plays the full per-pulse model only while the receiver
+      is not quiescent ([Detector.quiescent]) after a click.  Frame
+      boundaries re-arm the APDs ([Detector.reset]) and advance the
+      stabilization walk at frame granularity.  The two modes agree in
+      distribution, not draw for draw. *)
 type mode = Reference | Batched of { domains : int }
 
 (** [Batched { domains = 1 }] — the fast path, single-domain. *)

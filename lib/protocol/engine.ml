@@ -170,8 +170,6 @@ type linked = {
   round_pulses : int;
   link : Link.result;
   sift : Sifting.outcome;
-  report_payload : bytes;
-  response_payload : bytes;
   eve_known : int;
 }
 
@@ -182,20 +180,13 @@ let stage_link (config : config) ~pulses ~seeds =
           ~pulses)
   in
   let sift = Obs.Trace.with_span "engine_sift" (fun () -> Sifting.sift link) in
-  let report = Sifting.bob_report link in
-  let report_payload =
-    match report with
-    | Wire.Sift_report _ as m -> Wire.encode m
-    | _ -> assert false
-  in
-  let response_payload = Wire.encode (Sifting.alice_response link report) in
   let eve_known =
     Eve.bits_known link.Link.eve
       ~alice_basis:(Link.alice_basis link)
       ~alice_value:(Link.alice_value link)
       ~sifted_slots:(Array.to_list sift.Sifting.slots)
   in
-  { round_pulses = pulses; link; sift; report_payload; response_payload; eve_known }
+  { round_pulses = pulses; link; sift; eve_known }
 
 type reconciled = {
   ec_corrected : Bitstring.t;
@@ -320,7 +311,6 @@ let per_simulated_second n elapsed_s =
    never reorder side effects because they all live here. *)
 let commit_round ~tamper t (l : linked) (r : reconciled)
     (p : amplified option) ~next_qber =
-  t.last_qber <- next_qber;
   let* () = if r.ec_verified then Ok () else Error Ec_not_verified in
   let auth_before =
     Auth.consumed_bits t.alice_auth + Auth.consumed_bits t.bob_auth
@@ -328,7 +318,7 @@ let commit_round ~tamper t (l : linked) (r : reconciled)
   (* Bob's side of the conversation: sift report + his EC echoes. *)
   let* tag1 =
     authenticated_transfer ~sender:t.bob_auth ~receiver:t.alice_auth
-      ~tampered:tamper l.report_payload
+      ~tampered:tamper l.sift.Sifting.report_payload
   in
   let { pa; bob_distilled } =
     match p with Some p -> p | None -> assert false (* verified ⇒ amplified *)
@@ -343,8 +333,11 @@ let commit_round ~tamper t (l : linked) (r : reconciled)
   (* Alice's side: sift response + her EC parities + PA parameters. *)
   let* tag2 =
     authenticated_transfer ~sender:t.alice_auth ~receiver:t.bob_auth
-      ~tampered:false (Bytes.cat l.response_payload pa_payload)
+      ~tampered:false (Bytes.cat l.sift.Sifting.response_payload pa_payload)
   in
+  (* Only an authenticated round feeds the next round's estimate: a
+     failed round in flight commits nothing. *)
+  t.last_qber <- next_qber;
   (* Replenish authentication first, then deliver the remainder; each
      side pays from its own distillate. *)
   let alice_distilled = pa.Privacy_amp.distilled in
@@ -695,7 +688,7 @@ let stage_domain ~recorder ~lane ~stage_index ~stage ~input ~output f =
           | Error _ as e -> e
           | Ok x -> (
               let t0 = Trace.now () in
-              match f slot.seeds x with
+              match f slot.idx slot.seeds x with
               | y ->
                   let dt = Float.max 0.0 (Trace.now () -. t0) in
                   slot.durs.(stage_index) <- dt;
@@ -737,31 +730,44 @@ let run_rounds ?(tamper = false) ?(pipeline_depth = 1) t ~rounds ~pulses f =
     let q1 = Chan.create ~capacity:depth in
     let q2 = Chan.create ~capacity:depth in
     let q3 = Chan.create ~capacity:depth in
-    (* The EC worker owns the QBER chain while the pipeline runs —
-       seeded from the engine state here, written back round-by-round
-       at commit so the engine after a pipelined batch is
-       indistinguishable from after the same batch run serially. *)
-    let qber_chain = ref t.last_qber in
+    (* The EC stage sizes its first pass from the QBER chain as the
+       previous round's commit left it, exactly as the serial path does:
+       a round that fails verification or authentication must not move
+       it.  The committing domain publishes the chain after every round
+       it drains, tagged with the round's index; the EC worker waits
+       for round i-1's before reconciling round i, while link+sifting
+       runs ahead.  At most depth+1 values are ever unread. *)
+    let chain = Chan.create ~capacity:(depth + 2) in
+    let seen = ref (0, t.last_qber) in
+    let rec chain_after idx =
+      let k, q = !seen in
+      if k >= idx then q
+      else
+        match Chan.recv chain with
+        | Some v ->
+            seen := v;
+            chain_after idx
+        | None -> q (* never closed *)
+    in
     (* Captured once, pre-spawn: stage domains must not race a
        mid-run [Recorder.use] swap on the coordinating domain. *)
     let recorder = Recorder.default () in
     let w_link =
       stage_domain ~recorder ~lane:Recorder.lane_link ~stage_index:0
-        ~stage:"link" ~input:q0 ~output:q1 (fun seeds () ->
+        ~stage:"link" ~input:q0 ~output:q1 (fun _ seeds () ->
           stage_link config ~pulses ~seeds)
     in
     let w_ec =
       stage_domain ~recorder ~lane:Recorder.lane_ec ~stage_index:1 ~stage:"ec"
-        ~input:q1 ~output:q2 (fun seeds l ->
+        ~input:q1 ~output:q2 (fun idx seeds l ->
           let r, next_qber =
-            stage_ec config ~estimated_qber:!qber_chain ~seeds l
+            stage_ec config ~estimated_qber:(chain_after (idx - 1)) ~seeds l
           in
-          qber_chain := next_qber;
           (l, r, next_qber))
     in
     let w_pa =
       stage_domain ~recorder ~lane:Recorder.lane_pa ~stage_index:2 ~stage:"pa"
-        ~input:q2 ~output:q3 (fun seeds (l, r, next_qber) ->
+        ~input:q2 ~output:q3 (fun _ seeds (l, r, next_qber) ->
           (l, r, stage_pa ~seeds l r, next_qber))
     in
     let inflight = Registry.gauge "engine_pipeline_inflight" in
@@ -839,6 +845,7 @@ let run_rounds ?(tamper = false) ?(pipeline_depth = 1) t ~rounds ~pulses f =
               | exception e ->
                   Gauge.set commit_busy 0.0;
                   poison e));
+          Chan.send chain (slot.idx, t.last_qber);
           if !abort = None then submit () else close_input ()
     done;
     close_input ();

@@ -113,6 +113,8 @@ val run_round :
     up to [pipeline_depth] rounds in flight, while the calling domain
     submits rounds and commits side effects (auth spend/replenish,
     pool fill, the running QBER estimate) strictly in round order.
+    Error correction of a round waits for the previous round's commit,
+    since that commit decides the QBER estimate it starts from.
 
     Reproducibility contract (matches the PR 2 link contract): each
     round's randomness comes from one submission-order draw on the
@@ -151,7 +153,9 @@ val rounds_failed : t -> int
 val rounds_attempted : t -> int
 
 (** The running QBER estimate that sizes the next round's first
-    Cascade pass — [None] until a round has verified, and updated only
-    by rounds whose error correction verified (a failed round's error
-    count is untrustworthy and must not skew the chain). *)
+    Cascade pass — [None] until a round has completed, and updated only
+    by rounds that complete: error correction verified and both
+    authentication tags checked.  A failed round's error count is
+    untrustworthy and a tampered round commits nothing, so neither
+    moves the chain, on the serial and the pipelined path alike. *)
 val last_qber : t -> float option

@@ -20,11 +20,19 @@ val symbol_basis1 : int
 val symbol_double : int
 
 (** [bob_report link] builds Bob's detection-report message from his
-    receiver record. *)
+    receiver record: one symbol per slot, run-length encoded straight
+    from the sorted detections, never as a per-slot array. *)
 val bob_report : Qkd_photonics.Link.result -> Wire.msg
 
-(** [alice_response link report] computes Alice's accept/reject reply.
-    @raise Wire.Malformed if [report] is not a sift report. *)
+(** [alice_response link report] computes Alice's accept/reject reply
+    by walking the report's runs.  A report from the wire is untrusted:
+    work and allocation are bounded by [link]'s slot count and the
+    report's size, whatever it claims.
+    @raise Wire.Malformed if [report] is not a sift report, does not
+    start at slot 0, declares a slot count other than [link.pulses], or
+    carries an unknown symbol, a zero-length run, runs that overshoot
+    or fall short of its count, a truncated or over-long varint, or
+    trailing bytes. *)
 val alice_response : Qkd_photonics.Link.result -> Wire.msg -> Wire.msg
 
 type outcome = {
@@ -36,10 +44,14 @@ type outcome = {
   basis_mismatches : int;
   report_bytes : int;  (** wire size of Bob's report *)
   response_bytes : int;  (** wire size of Alice's reply *)
+  report_payload : bytes;  (** Bob's report as framed by [Wire.encode] *)
+  response_payload : bytes;  (** Alice's reply as framed by [Wire.encode] *)
 }
 
 (** [sift link] runs the full exchange: report, response, and both
-    sides' extraction.  The returned [alice_bits]/[bob_bits] differ
+    sides' extraction, in time and space linear in the detections.
+    The encoded messages come back with the outcome, so the engine
+    authenticates them without encoding them again.  The returned [alice_bits]/[bob_bits] differ
     exactly where channel noise or Eve flipped an outcome. *)
 val sift : Qkd_photonics.Link.result -> outcome
 

@@ -176,6 +176,10 @@ let mask_tail r =
          (Char.code (Bytes.unsafe_get r.bits last) land ((1 lsl rem) - 1)))
   end
 
+let fill t b =
+  Bytes.fill t.bits 0 (Bytes.length t.bits) (if b then '\xff' else '\000');
+  mask_tail t
+
 let sub t pos len =
   if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Bitstring.sub";
   let r = create len in

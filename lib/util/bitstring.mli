@@ -24,6 +24,9 @@ val set : t -> int -> bool -> unit
 (** [flip t i] inverts bit [i] in place. *)
 val flip : t -> int -> unit
 
+(** [fill t b] sets every bit of [t] to [b]. *)
+val fill : t -> bool -> unit
+
 (** [blit_int64 t ~pos ~bits w] writes the low [bits] bits of [w] into
     [t] starting at [pos], least-significant bit first — the word-level
     counterpart of [bits] calls to [set].  Byte-aligned [pos] takes a

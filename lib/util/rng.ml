@@ -52,16 +52,6 @@ let split t = of_int64 (int64 t)
 let derive seed index =
   of_int64 (mix (Int64.add (mix seed) (Int64.mul golden_gamma index)))
 
-let bits t n =
-  let b = Bitstring.create n in
-  let i = ref 0 in
-  while !i < n do
-    let nb = min 64 (n - !i) in
-    Bitstring.blit_int64 b ~pos:!i ~bits:nb (int64 t);
-    i := !i + nb
-  done;
-  b
-
 let[@inline] float t =
   (* Top 53 bits scaled to [0,1). *)
   let x = Int64.shift_right_logical (int64 t) 11 in
@@ -112,26 +102,34 @@ let shuffle t arr =
 let fill t b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Rng.fill";
-  let i = ref 0 in
-  while !i < len do
-    (* Advance in native halves, mix into a local whose uses are all
-       unboxing contexts (low 56 bits + top byte as native ints): the
-       whole word draw stays off the minor heap. *)
+  (* Whole words go down with one little-endian store; the word is an
+     unboxed argument of the store primitive, so the draw stays off the
+     minor heap. *)
+  let full = len / 8 in
+  for j = 0 to full - 1 do
+    advance t;
+    Bytes.set_int64_le b (pos + (8 * j)) (mix (current t))
+  done;
+  let tail = pos + (8 * full) and rest = len - (8 * full) in
+  if rest > 0 then begin
     advance t;
     let w = mix (current t) in
+    (* low 56 bits as a native int: byte k for k < 7 *)
     let lo = Int64.to_int (Int64.logand w 0xFFFFFFFFFFFFFFL) in
-    let hi = Int64.to_int (Int64.shift_right_logical w 56) in
-    let base = !i in
-    let stop = min len (base + 8) in
-    while !i < stop do
-      let k = !i - base in
-      Bytes.unsafe_set b (pos + !i)
-        (Char.unsafe_chr (if k = 7 then hi else (lo lsr (8 * k)) land 0xFF));
-      incr i
+    for k = 0 to rest - 1 do
+      Bytes.unsafe_set b (tail + k) (Char.unsafe_chr ((lo lsr (8 * k)) land 0xFF))
     done
-  done
+  end
 
 let bytes t n =
   let b = Bytes.create n in
   fill t b ~pos:0 ~len:n;
   b
+
+(* [fill] lays each word down least significant byte first, which is
+   [Bitstring]'s bit order, and draws one word per 64 bits: the same
+   string a word-at-a-time [Bitstring.blit_int64] fill would build,
+   without boxing a word per draw. *)
+let bits t n =
+  if n < 0 then invalid_arg "Rng.bits: negative length";
+  Bitstring.of_bytes (bytes t ((n + 7) / 8)) n

@@ -396,6 +396,31 @@ let test_wc_bad_key_size () =
     (Invalid_argument "Universal_hash.wc_tag: key must be key_bits_per_tag bits")
     (fun () -> ignore (Uh.wc_tag ~key:(Bs.create 10) (Bytes.of_string "x")))
 
+(* Known answers pinned from the original per-chunk GF(2^64) field
+   arithmetic: any faster evaluation must reproduce these tags bit for
+   bit.  29 528 bytes is the size of a 2M-pulse sift report. *)
+let wc_known_answers =
+  [
+    (0, "d03684e8b34eda89");
+    (1, "e89686753a0bd42d");
+    (7, "73539c8fdeb05cd6");
+    (8, "ddd1f3202e695b55");
+    (9, "65ca649de4fd2602");
+    (64, "a7187f353aee10ce");
+    (29_528, "476e704f7c494590");
+  ]
+
+let test_wc_known_answers () =
+  let rng = Rng.create 59L in
+  let key = Rng.bits rng Uh.key_bits_per_tag in
+  let msg = Rng.bytes rng 29_528 in
+  List.iter
+    (fun (len, expected) ->
+      let tag = Uh.wc_tag ~key (Bytes.sub msg 0 len) in
+      check_str (Printf.sprintf "%d-byte tag" len) expected (hex (Bs.to_bytes tag));
+      check "verifies" true (Uh.wc_verify ~key ~tag (Bytes.sub msg 0 len)))
+    wc_known_answers
+
 let prop_wc_forgery_resistance =
   QCheck.Test.make ~name:"wc tags differ across messages" ~count:100
     QCheck.(pair string string)
@@ -800,6 +825,7 @@ let () =
           Alcotest.test_case "wc key sensitivity" `Quick test_wc_key_sensitivity;
           Alcotest.test_case "wc length guard" `Quick test_wc_length_extension_guard;
           Alcotest.test_case "wc bad key size" `Quick test_wc_bad_key_size;
+          Alcotest.test_case "wc known answers" `Quick test_wc_known_answers;
           qcheck prop_wc_forgery_resistance;
         ] );
       ( "bignum-dh",

@@ -219,6 +219,56 @@ let test_detector_double_click () =
   done;
   check "mostly doubles" true (!doubles > 900)
 
+(* The rule the skip-ahead kernel relies on: a blanked gate clears
+   afterpulse memory, so afterpulses only fire with zero dead time. *)
+let test_detector_afterpulse_chains () =
+  let config = { perfect_detector with Detector.afterpulse_probability = 1.0 } in
+  let d = Detector.create config in
+  let rng = Rng.create 12L in
+  (match
+     Detector.detect d rng ~bob_basis:Qubit.Basis0
+       (pulse ~basis:Qubit.Basis0 ~value:false ~photons:1)
+   with
+  | Detector.Click false -> ()
+  | other -> Alcotest.failf "first click: %a" Detector.pp_outcome other);
+  for i = 1 to 20 do
+    match Detector.detect d rng ~bob_basis:Qubit.Basis0 Pulse.vacuum with
+    | Detector.Click false -> ()
+    | other -> Alcotest.failf "gate %d broke the chain: %a" i Detector.pp_outcome other
+  done
+
+let test_detector_dead_time_masks_afterpulse () =
+  let outcomes afterpulse =
+    let d =
+      Detector.create
+        { Detector.default with Detector.afterpulse_probability = afterpulse }
+    in
+    let rng = Rng.create 13L and src = Rng.create 14L in
+    List.init 50_000 (fun _ ->
+        let basis = Qubit.random_basis src in
+        let p =
+          pulse ~basis ~value:(Rng.bool src) ~photons:(Rng.poisson src 3.0)
+        in
+        Detector.detect d rng ~bob_basis:(Qubit.random_basis src) p)
+  in
+  let with_ap = outcomes 1.0 in
+  check "clicks happen" true (List.exists (( <> ) Detector.No_click) with_ap);
+  check "afterpulse 1.0 = afterpulse 0" true (with_ap = outcomes 0.0);
+  (* the same holds for whole links, in both execution modes *)
+  let link afterpulse mode =
+    let config =
+      {
+        Link.darpa_default with
+        Link.detector =
+          { Detector.default with Detector.afterpulse_probability = afterpulse };
+      }
+    in
+    (Link.run ~seed:15L ~mode config ~pulses:200_000).Link.detections
+  in
+  List.iter
+    (fun mode -> check "link detections identical" true (link 1.0 mode = link 0.0 mode))
+    [ Link.Reference; Link.default_mode ]
+
 let test_detector_validation () =
   Alcotest.check_raises "bad efficiency"
     (Invalid_argument "Detector.validate: probability out of range") (fun () ->
@@ -647,41 +697,207 @@ let test_fastpath_gated_pulses () =
     (Link.detection_rate no_loss)
     (Link.raw_detection_rate no_loss)
 
-(* The reference loop and the batched kernel draw randomness in
-   different orders, so they agree statistically, not bit-for-bit:
-   same operating point within Monte Carlo tolerance. *)
-let test_fastpath_reference_equivalence () =
-  let pulses = 400_000 in
-  let ref_r = Link.run ~seed:17L ~mode:Link.Reference Link.darpa_default ~pulses in
-  let bat_r =
-    Link.run ~seed:17L ~mode:(Link.Batched { domains = 2 }) Link.darpa_default
-      ~pulses
+(* -- Skip-ahead kernel vs Reference --------------------------------
+
+   The reference loop plays every pulse; the batched kernel jumps
+   between candidate slots and resolves each from its conditional law.
+   They draw randomness differently, so the contract is distributional:
+   every observable rate must agree within Wilson bands, and the
+   inter-detection gap histogram (what dead-time and afterpulse
+   mistakes distort) must pass a chi-square test of homogeneity.  The
+   kernel side runs more pulses, which it can afford. *)
+
+module Stats = Qkd_util.Stats
+
+type tally = {
+  pulses : int;
+  gated : int;
+  detections : int;
+  doubles : int;
+  dark : int;
+  sifted : int;
+  errors : int;
+  alice : int;
+  intercepted : int;
+  stored : int;
+  known : int;
+  gaps : int array;
+}
+
+(* Gap bins: 1, 2, 3, 4, 5-10, 11-100, 101-300, 301-1000, > 1000. *)
+let gap_bin g =
+  if g <= 4 then g - 1
+  else if g <= 10 then 4
+  else if g <= 100 then 5
+  else if g <= 300 then 6
+  else if g <= 1000 then 7
+  else 8
+
+let tally ~mode ~seed config ~pulses =
+  let registry = Qkd_obs.Registry.create () in
+  let r =
+    Qkd_obs.Registry.with_registry registry (fun () ->
+        Link.run ~seed ~mode config ~pulses)
   in
-  let rate_ref = Link.detection_rate ref_r in
-  let rate_bat = Link.detection_rate bat_r in
-  check "detection rates agree" true
-    (abs_float (rate_ref -. rate_bat) /. rate_ref < 0.15);
-  let _, qber_ref = measure_qber ref_r in
-  let _, qber_bat = measure_qber bat_r in
-  check "qber band agrees" true (abs_float (qber_ref -. qber_bat) < 0.03)
+  let dark =
+    Qkd_obs.Counter.value
+      (Qkd_obs.Registry.counter ~registry "photonics_dark_counts_total")
+  in
+  let s = Qkd_protocol.Sifting.sift r in
+  let gaps = Array.make 9 0 in
+  let last = ref (-1) in
+  Array.iter
+    (fun (d : Link.detection) ->
+      if !last >= 0 then begin
+        let b = gap_bin (d.Link.slot - !last) in
+        gaps.(b) <- gaps.(b) + 1
+      end;
+      last := d.Link.slot)
+    r.Link.detections;
+  let sifted = Array.length s.Qkd_protocol.Sifting.slots in
+  {
+    pulses;
+    gated = r.Link.gated_pulses;
+    detections = Array.length r.Link.detections;
+    doubles = s.Qkd_protocol.Sifting.double_clicks;
+    dark;
+    sifted;
+    errors =
+      Qkd_util.Bitstring.hamming_distance s.Qkd_protocol.Sifting.alice_bits
+        s.Qkd_protocol.Sifting.bob_bits;
+    alice = Qkd_util.Bitstring.popcount r.Link.alice_detected;
+    intercepted = Eve.intercepted r.Link.eve;
+    stored = Eve.stored_photons r.Link.eve;
+    known =
+      Eve.bits_known r.Link.eve ~alice_basis:(Link.alice_basis r)
+        ~alice_value:(Link.alice_value r)
+        ~sifted_slots:(Array.to_list s.Qkd_protocol.Sifting.slots);
+    gaps;
+  }
+
+(* Two proportions agree when their z = 3 Wilson bands overlap. *)
+let agree name ~kernel:(k1, n1) ~reference:(k2, n2) =
+  let lo1, hi1 = Stats.binomial_ci ~k:k1 ~n:n1 ~z:3.0 in
+  let lo2, hi2 = Stats.binomial_ci ~k:k2 ~n:n2 ~z:3.0 in
+  if not (lo1 <= hi2 && lo2 <= hi1) then
+    Alcotest.failf "%s: kernel %d/%d = %.5g, reference %d/%d = %.5g" name k1 n1
+      (float_of_int k1 /. float_of_int (max 1 n1))
+      k2 n2
+      (float_of_int k2 /. float_of_int (max 1 n2))
+
+(* Chi-square critical values at p = 0.001, by degrees of freedom. *)
+let chi2_critical = [| 10.83; 13.82; 16.27; 18.47; 20.52; 22.46; 24.32; 26.12 |]
+
+(* Two-sample homogeneity test; adjacent bins are pooled until each
+   holds at least 10 events between the two samples. *)
+let same_gap_shape name a b =
+  let pooled = ref [] and ka = ref 0 and kb = ref 0 in
+  Array.iteri
+    (fun i x ->
+      ka := !ka + x;
+      kb := !kb + b.(i);
+      if !ka + !kb >= 10 then begin
+        pooled := (!ka, !kb) :: !pooled;
+        ka := 0;
+        kb := 0
+      end)
+    a;
+  let pooled =
+    match !pooled with
+    | (x, y) :: rest -> (x + !ka, y + !kb) :: rest
+    | [] -> []
+  in
+  let r = float_of_int (List.fold_left (fun n (x, _) -> n + x) 0 pooled) in
+  let s = float_of_int (List.fold_left (fun n (_, y) -> n + y) 0 pooled) in
+  let chi2 =
+    List.fold_left
+      (fun acc (x, y) ->
+        let d = (sqrt (s /. r) *. float_of_int x) -. (sqrt (r /. s) *. float_of_int y) in
+        acc +. (d *. d /. float_of_int (x + y)))
+      0.0 pooled
+  in
+  let df = List.length pooled - 1 in
+  if df >= 1 && chi2 > chi2_critical.(df - 1) then
+    Alcotest.failf "%s: gap histograms differ, chi2 = %.1f on %d df" name chi2 df
+
+let check_equivalent ?(seed = 17L) ?(reference_pulses = 1_000_000)
+    ?(kernel_pulses = 4_000_000) name config =
+  let k = tally ~mode:(Link.Batched { domains = 2 }) ~seed config ~pulses:kernel_pulses in
+  let r = tally ~mode:Link.Reference ~seed config ~pulses:reference_pulses in
+  let rate what f n = agree (name ^ ": " ^ what) ~kernel:(f k, n k) ~reference:(f r, n r) in
+  rate "detection rate" (fun t -> t.detections) (fun t -> t.gated);
+  rate "double-click rate" (fun t -> t.doubles) (fun t -> t.gated);
+  rate "dark-count attribution" (fun t -> t.dark) (fun t -> t.gated);
+  rate "sifted QBER" (fun t -> t.errors) (fun t -> t.sifted);
+  rate "alice_detected" (fun t -> t.alice) (fun t -> t.pulses);
+  rate "Eve intercepted" (fun t -> t.intercepted) (fun t -> t.pulses);
+  rate "Eve stored photons" (fun t -> t.stored) (fun t -> t.pulses);
+  rate "Eve-known sifted bits" (fun t -> t.known) (fun t -> t.sifted);
+  same_gap_shape name k.gaps r.gaps
+
+let test_fastpath_reference_equivalence () =
+  check_equivalent "E2 darpa" Link.darpa_default
 
 let test_fastpath_reference_equivalence_eve () =
-  let config =
-    { Link.darpa_default with Link.eve = Eve.Intercept_resend 1.0 }
-  in
-  let pulses = 400_000 in
-  let ref_r = Link.run ~seed:23L ~mode:Link.Reference config ~pulses in
-  let bat_r =
-    Link.run ~seed:23L ~mode:(Link.Batched { domains = 2 }) config ~pulses
-  in
-  let _, qber_ref = measure_qber ref_r in
-  let _, qber_bat = measure_qber bat_r in
-  (* full intercept-resend: both must sit at the ~25% QBER signature *)
-  check "reference sees eve" true (qber_ref > 0.18 && qber_ref < 0.32);
-  check "batched sees eve" true (qber_bat > 0.18 && qber_bat < 0.32);
-  let frac r = float_of_int (Eve.intercepted r.Link.eve) /. float_of_int pulses in
-  check "intercept volumes agree" true
-    (abs_float (frac ref_r -. frac bat_r) < 0.02)
+  check_equivalent ~reference_pulses:400_000 ~kernel_pulses:1_600_000
+    "E6 intercept-resend 1.0"
+    { Link.darpa_default with Link.eve = Eve.Intercept_resend 1.0 };
+  check_equivalent "E6 intercept-resend 0.05"
+    { Link.darpa_default with Link.eve = Eve.Intercept_resend 0.05 }
+
+(* E10: one 1.5 dB switch between two 5 km hops, as insertion loss. *)
+let test_fastpath_reference_equivalence_switch () =
+  check_equivalent "E10 switch loss"
+    {
+      Link.darpa_default with
+      Link.fiber = Fiber.make ~length_km:0.0 ~insertion_loss_db:6.5 ();
+    }
+
+let test_fastpath_reference_equivalence_multiphoton () =
+  check_equivalent "E11 entangled" Link.entangled_default;
+  check_equivalent "E11 beamsplit" { Link.darpa_default with Link.eve = Eve.Beamsplit }
+
+let test_fastpath_reference_equivalence_timing () =
+  check_equivalent "frame loss, 37-pulse frames"
+    {
+      Link.darpa_default with
+      Link.timing = Timing.make ~pulses_per_frame:37 ~frame_loss_probability:0.3 ();
+    }
+
+(* Bright pulses on a lossless spool: a click on ~1 slot in 6, so the
+   dead-time gates after each click shape the gap histogram. *)
+let dense =
+  {
+    Link.darpa_default with
+    Link.source = Source.weak_coherent ~mu:2.0;
+    fiber = Fiber.make ~length_km:0.0 ();
+  }
+
+let test_fastpath_reference_equivalence_dense () =
+  check_equivalent ~reference_pulses:200_000 ~kernel_pulses:800_000
+    "dense clicks" dense
+
+let test_fastpath_reference_equivalence_afterpulse () =
+  check_equivalent ~reference_pulses:200_000 ~kernel_pulses:800_000
+    "afterpulse chains"
+    {
+      dense with
+      Link.detector =
+        {
+          Detector.default with
+          Detector.dead_time_gates = 0;
+          afterpulse_probability = 0.3;
+        };
+    }
+
+(* Unequal APD efficiencies make the click law depend on the slot's
+   bases and value, which the kernel handles by thinning. *)
+let test_fastpath_reference_equivalence_bias () =
+  check_equivalent "mismatched APDs"
+    {
+      Link.darpa_default with
+      Link.detector = { Detector.default with Detector.d1_efficiency_factor = 0.5 };
+    }
 
 let () =
   Alcotest.run "qkd_photonics"
@@ -718,6 +934,10 @@ let () =
           Alcotest.test_case "dead time" `Quick test_detector_dead_time;
           Alcotest.test_case "double click" `Quick test_detector_double_click;
           Alcotest.test_case "validation" `Quick test_detector_validation;
+          Alcotest.test_case "afterpulse chains without dead time" `Quick
+            test_detector_afterpulse_chains;
+          Alcotest.test_case "dead time masks afterpulse" `Quick
+            test_detector_dead_time_masks_afterpulse;
         ] );
       ( "eve",
         [
@@ -784,5 +1004,17 @@ let () =
             test_fastpath_reference_equivalence;
           Alcotest.test_case "reference equivalence with eve" `Slow
             test_fastpath_reference_equivalence_eve;
+          Alcotest.test_case "reference equivalence: switch loss" `Slow
+            test_fastpath_reference_equivalence_switch;
+          Alcotest.test_case "reference equivalence: entangled and beamsplit" `Slow
+            test_fastpath_reference_equivalence_multiphoton;
+          Alcotest.test_case "reference equivalence: frame loss, 37-pulse frames" `Slow
+            test_fastpath_reference_equivalence_timing;
+          Alcotest.test_case "reference equivalence: dense clicks, dead time" `Slow
+            test_fastpath_reference_equivalence_dense;
+          Alcotest.test_case "reference equivalence: afterpulse chains" `Slow
+            test_fastpath_reference_equivalence_afterpulse;
+          Alcotest.test_case "reference equivalence: mismatched APDs" `Slow
+            test_fastpath_reference_equivalence_bias;
         ] );
     ]

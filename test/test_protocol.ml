@@ -132,6 +132,178 @@ let test_sifting_wrong_message_type () =
     (Wire.Malformed "alice_response: expected a sift report") (fun () ->
       ignore (Sifting.alice_response link (Wire.Ec_flip { index = 0 })))
 
+(* The per-slot oracle: the sift exchange as it was first written,
+   one symbol per pulse, run-length encoded whole.  The run-walking
+   implementation must produce the same bytes. *)
+let oracle_symbols (link : Link.result) =
+  let symbols = Array.make link.Link.pulses Sifting.symbol_none in
+  Array.iter
+    (fun (d : Link.detection) ->
+      symbols.(d.Link.slot) <-
+        (match d.Link.outcome with
+        | Qkd_photonics.Detector.Double_click -> Sifting.symbol_double
+        | Qkd_photonics.Detector.Click _ -> (
+            match d.Link.bob_basis with
+            | Qkd_photonics.Qubit.Basis0 -> Sifting.symbol_basis0
+            | Qkd_photonics.Qubit.Basis1 -> Sifting.symbol_basis1)
+        | Qkd_photonics.Detector.No_click -> Sifting.symbol_none))
+    link.Link.detections;
+  symbols
+
+let oracle_accepts (link : Link.result) symbols =
+  let accepts = ref [] in
+  Array.iteri
+    (fun slot sym ->
+      if sym = Sifting.symbol_basis0 || sym = Sifting.symbol_basis1 then begin
+        let bob =
+          if sym = Sifting.symbol_basis1 then Qkd_photonics.Qubit.Basis1
+          else Qkd_photonics.Qubit.Basis0
+        in
+        let ok =
+          Qkd_photonics.Qubit.basis_equal bob (Link.alice_basis link slot)
+          && Bs.get link.Link.alice_detected slot
+        in
+        accepts := (if ok then 1 else 0) :: !accepts
+      end)
+    symbols;
+  Qkd_util.Rle.encode (Array.of_list (List.rev !accepts))
+
+let prop_sift_matches_oracle =
+  QCheck.Test.make ~count:60 ~name:"sift report/response bytes equal the per-slot RLE oracle"
+    QCheck.(quad (int_bound 100_000) (int_range 1 40_000) (int_range 1 5_000) (int_bound 4))
+    (fun (seed, pulses, frame, variant) ->
+      let base =
+        {
+          Link.darpa_default with
+          Link.timing = Qkd_photonics.Timing.make ~pulses_per_frame:frame ();
+        }
+      in
+      let config =
+        match variant with
+        | 0 -> base
+        | 1 -> { base with Link.source = Source.entangled_pair ~mu:0.1 }
+        | 2 -> { base with Link.eve = Eve.Intercept_resend 0.3 }
+        | 3 ->
+            (* dense clicks: adjacent detections share runs *)
+            {
+              base with
+              Link.source = Source.weak_coherent ~mu:3.0;
+              fiber = Qkd_photonics.Fiber.make ~length_km:0.0 ();
+            }
+        | _ ->
+            {
+              base with
+              Link.timing =
+                Qkd_photonics.Timing.make ~pulses_per_frame:frame
+                  ~frame_loss_probability:0.5 ();
+            }
+      in
+      let link = Link.run ~seed:(Int64.of_int seed) config ~pulses in
+      let symbols = oracle_symbols link in
+      let report = Sifting.bob_report link in
+      let s = Sifting.sift link in
+      (match report with
+      | Wire.Sift_report { first_slot = 0; symbols = got } ->
+          Bytes.equal got (Qkd_util.Rle.encode symbols)
+      | _ -> false)
+      && (match Sifting.alice_response link report with
+         | Wire.Sift_response { accepted } -> Bytes.equal accepted (oracle_accepts link symbols)
+         | _ -> false)
+      && Bytes.equal s.Sifting.report_payload (Wire.encode report)
+      && Bytes.equal s.Sifting.response_payload
+           (Wire.encode (Sifting.alice_response link report))
+      && s.Sifting.report_bytes = Bytes.length s.Sifting.report_payload
+      &&
+      (* both sides keep exactly the accepted single clicks *)
+      let kept =
+        List.filter
+          (fun (d : Link.detection) ->
+            match d.Link.outcome with
+            | Qkd_photonics.Detector.Click _ ->
+                Qkd_photonics.Qubit.basis_equal d.Link.bob_basis (Link.alice_basis link d.Link.slot)
+                && Bs.get link.Link.alice_detected d.Link.slot
+            | _ -> false)
+          (Array.to_list link.Link.detections)
+      in
+      s.Sifting.slots = Array.of_list (List.map (fun (d : Link.detection) -> d.Link.slot) kept)
+      && Bs.equal s.Sifting.alice_bits
+           (Bs.of_bool_list (List.map (fun (d : Link.detection) -> Link.alice_value link d.Link.slot) kept))
+      && Bs.equal s.Sifting.bob_bits
+           (Bs.of_bool_list
+              (List.map
+                 (fun (d : Link.detection) ->
+                   match d.Link.outcome with Qkd_photonics.Detector.Click v -> v | _ -> false)
+                 kept)))
+
+let hostile_link = lazy (Link.run ~seed:7L Link.darpa_default ~pulses:4096)
+
+let respond symbols =
+  Sifting.alice_response (Lazy.force hostile_link)
+    (Wire.Sift_report { first_slot = 0; symbols })
+
+let test_sifting_hostile_reports () =
+  let malformed name symbols =
+    match respond (Bytes.of_string symbols) with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Wire.Malformed _ -> ()
+  in
+  (* 4096 slots = varint 80 20 *)
+  malformed "count too small" "\x05\x00\x05";
+  malformed "count of 2^40" "\x80\x80\x80\x80\x80\x20\x00\x01";
+  malformed "symbol out of range" "\x80\x20\x07\x80\x20";
+  malformed "zero run" "\x80\x20\x00\x00\x00\x80\x20";
+  malformed "truncated varint" "\x80\x20\x00\x80";
+  malformed "runs fall short" "\x80\x20\x00\x10";
+  malformed "run overshoots" "\x80\x20\x00\x81\x20";
+  malformed "trailing bytes" "\x80\x20\x00\x80\x20\x00";
+  malformed "over-long varint" "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01";
+  (match
+     Sifting.alice_response (Lazy.force hostile_link)
+       (Wire.Sift_report { first_slot = 1; symbols = Bytes.of_string "\x80\x20\x00\x80\x20" })
+   with
+  | _ -> Alcotest.fail "report not starting at slot 0 accepted"
+  | exception Wire.Malformed _ -> ());
+  match respond (Bytes.of_string "\x80\x20\x01\x80\x20") with
+  | Wire.Sift_response _ -> ()
+  | _ -> Alcotest.fail "a well-formed report must be answered"
+
+(* Arbitrary bytes, the same behind a valid count, and corruptions of a
+   real report: Alice answers or raises [Wire.Malformed], and allocates
+   in proportion to the report she was sent, not to what it claims. *)
+let prop_hostile_sift_report =
+  let real =
+    lazy
+      (match Sifting.bob_report (Lazy.force hostile_link) with
+      | Wire.Sift_report { symbols; _ } -> Bytes.to_string symbols
+      | _ -> assert false)
+  in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          string;
+          map (fun s -> "\x80\x20" ^ s) string;
+          map2
+            (fun pos c ->
+              let b = Bytes.of_string (Lazy.force real) in
+              Bytes.set b (pos mod Bytes.length b) c;
+              Bytes.to_string b)
+            nat char;
+        ])
+  in
+  QCheck.Test.make ~count:500 ~name:"hostile sift report: Malformed or a reply, bounded allocation"
+    (QCheck.make ~print:String.escaped gen)
+    (fun s ->
+      let symbols = Bytes.of_string s in
+      let before = Gc.allocated_bytes () in
+      let ok =
+        match respond symbols with
+        | Wire.Sift_response _ -> true
+        | _ -> false
+        | exception Wire.Malformed _ -> true
+      in
+      ok && Gc.allocated_bytes () -. before < 16_384.0 +. (64.0 *. float_of_int (String.length s)))
+
 (* -- Cascade -- *)
 
 let flip_random rng bits p =
@@ -909,6 +1081,49 @@ let prop_pipeline_bit_identical =
       let e2, r2 = run_pipelined config ~seed ~rounds ~pulses ~tamper:false ~depth in
       r1 = r2 && engine_state_fingerprint e1 = engine_state_fingerprint e2)
 
+(* A round that verifies its error correction but fails authentication
+   commits nothing — the QBER chain included.  The pipelined path must
+   agree, so its EC stage starts each round from the chain the previous
+   commit left. *)
+let test_tampered_round_keeps_qber_chain () =
+  let pulses = 2_000_000 in
+  let eng = Engine.create Engine.default_config in
+  (match Engine.run_round eng ~pulses with
+  | Ok m -> check "verified round feeds the chain" true (Engine.last_qber eng = Some m.Engine.qber)
+  | Error f -> Alcotest.failf "round failed: %a" Engine.pp_failure f);
+  let q = Engine.last_qber eng in
+  (match Engine.run_round ~tamper:true eng ~pulses with
+  | Error Engine.Auth_tampered -> ()
+  | _ -> Alcotest.fail "expected a tamper abort");
+  check "serial: tampered round leaves the chain" true (Engine.last_qber eng = q);
+  let batches run =
+    let eng = Engine.create Engine.default_config in
+    let results = ref [] in
+    let batch ~tamper = run eng ~tamper (fun r -> results := r :: !results) in
+    batch ~tamper:false;
+    let q = Engine.last_qber eng in
+    batch ~tamper:true;
+    (eng, q, List.rev !results)
+  in
+  let e_piped, q_piped, r_piped =
+    batches (fun eng ~tamper f ->
+        Engine.run_rounds ~tamper ~pipeline_depth:2 eng ~rounds:2 ~pulses f)
+  in
+  check "pipelined: verified rounds set the chain" true (q_piped <> None);
+  check "pipelined: tampered rounds leave the chain" true (Engine.last_qber e_piped = q_piped);
+  check "pipelined: tampered rounds abort" true
+    (List.filteri (fun i _ -> i >= 2) r_piped
+    |> List.for_all (function Error Engine.Auth_tampered -> true | _ -> false));
+  let e_serial, _, r_serial =
+    batches (fun eng ~tamper f ->
+        for _ = 1 to 2 do
+          f (Engine.run_round ~tamper eng ~pulses)
+        done)
+  in
+  check "pipelined = serial" true
+    (r_piped = r_serial
+    && engine_state_fingerprint e_piped = engine_state_fingerprint e_serial)
+
 let test_pipeline_aborted_round_commits_nothing () =
   (* rounds killed in flight (tampered tags) must leave the engine
      exactly as the serial failure path does: no pool fill, no auth
@@ -960,6 +1175,9 @@ let () =
           Alcotest.test_case "rle compression" `Slow test_sifting_report_is_compressed;
           Alcotest.test_case "counts consistent" `Quick test_sifting_counts_consistent;
           Alcotest.test_case "wrong message" `Quick test_sifting_wrong_message_type;
+          Alcotest.test_case "hostile reports" `Quick test_sifting_hostile_reports;
+          qcheck prop_sift_matches_oracle;
+          qcheck prop_hostile_sift_report;
         ] );
       ( "cascade",
         [
@@ -1096,5 +1314,7 @@ let () =
           qcheck prop_pipeline_bit_identical;
           Alcotest.test_case "aborted in-flight round commits nothing" `Slow
             test_pipeline_aborted_round_commits_nothing;
+          Alcotest.test_case "tampered round keeps the qber chain" `Slow
+            test_tampered_round_keeps_qber_chain;
         ] );
     ]

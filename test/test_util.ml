@@ -340,6 +340,26 @@ let prop_rng_bits_matches_legacy =
       let fast = Rng.bits (Rng.create seed) n in
       Bs.equal fast (legacy_bits seed n))
 
+(* [Rng.fill] lays words down least significant byte first, one draw
+   per 8 bytes begun; ESP IVs and [Rng.bits] both depend on it. *)
+let prop_rng_fill_matches_words =
+  QCheck.Test.make ~name:"fill = one little-endian word per 8 bytes" ~count:200
+    QCheck.(triple int64 (int_bound 9) (int_bound 100))
+    (fun (seed, pos, len) ->
+      let b = Bytes.make (pos + len + 3) 'x' in
+      Rng.fill (Rng.create seed) b ~pos ~len;
+      let t = Rng.create seed in
+      let expect = Bytes.make (pos + len + 3) 'x' in
+      for w = 0 to ((len + 7) / 8) - 1 do
+        let word = Rng.int64 t in
+        for k = 0 to min 8 (len - (8 * w)) - 1 do
+          Bytes.set expect
+            (pos + (8 * w) + k)
+            (Char.chr (Int64.to_int (Int64.shift_right_logical word (8 * k)) land 0xFF))
+        done
+      done;
+      Bytes.equal b expect)
+
 let test_rng_bits_same_stream_position () =
   (* after [bits], both fills must leave the generator at the same
      point, so downstream draws agree too *)
@@ -653,6 +673,7 @@ let () =
             test_rng_derive_order_independent;
           Alcotest.test_case "derive distinct" `Quick test_rng_derive_distinct;
           qcheck prop_rng_bits_matches_legacy;
+          qcheck prop_rng_fill_matches_words;
         ] );
       ( "lfsr",
         [
